@@ -1,7 +1,10 @@
 """Microbenchmarks: value-transformation codec throughput.
 
 Not a paper artifact, but the practical cost of simulating it — useful
-when sizing full-scale runs.
+when sizing full-scale runs.  The bit-plane cases time that stage alone
+at the bulk (16384 lines) and serve-sized (8 lines) batch shapes::
+
+    pytest benchmarks/test_bench_codec_throughput.py -k bitplane --benchmark-only
 """
 
 import numpy as np
@@ -46,3 +49,20 @@ def test_single_line_roundtrip_latency(benchmark, codec):
 
     result = benchmark(roundtrip)
     assert (result == line).all()
+
+
+@pytest.fixture(scope="module", params=[16384, 8], ids=["bulk16384", "small8"])
+def bitplane_lines(request):
+    rng = np.random.default_rng(2)
+    return rng.integers(0, 2**64, size=(request.param, 8), dtype=np.uint64)
+
+
+def test_bitplane_apply(benchmark, codec, bitplane_lines):
+    result = benchmark(codec.bitplane.apply, bitplane_lines)
+    assert (codec.bitplane.invert(result) == bitplane_lines).all()
+
+
+def test_bitplane_invert(benchmark, codec, bitplane_lines):
+    encoded = codec.bitplane.apply(bitplane_lines)
+    result = benchmark(codec.bitplane.invert, encoded)
+    assert (result == bitplane_lines).all()

@@ -126,21 +126,12 @@ class MemoryController:
             if anti.any():
                 transformed = transformed.copy()
                 transformed[anti] = np.invert(transformed[anti])
-        rotation = self.codec.rotation
-        num_chips = self.geometry.num_chips
-        # Word-slot gather table per rotation class (row % num_chips).
-        slot_table = np.stack(
-            [
-                np.stack([rotation.words_of_chip(chip, rot)
-                          for chip in range(num_chips)])
-                for rot in range(num_chips)
-            ]
-        )  # (rots, chips, words_per_chip)
-        rot_of_row = rows % num_chips if rotation.rotate else np.zeros_like(rows)
+        # (n, chips, words_per_chip): each line's words in chip order
+        slots = self.codec.rotation.slot_table[rows % self.geometry.num_chips]
+        chip_words = transformed[np.arange(len(rows))[:, None, None], slots]
         for i in range(len(line_addrs)):
-            chip_words = transformed[i, slot_table[int(rot_of_row[i])]]
             self.device.write_line(int(banks[i]), int(rows[i]),
-                                   int(lines_in_row[i]), chip_words, time_s)
+                                   int(lines_in_row[i]), chip_words[i], time_s)
         self.ebdi_ops += len(line_addrs)
         self.line_writes += len(line_addrs)
         self.probes.count("ctrl.ebdi_ops", len(line_addrs))

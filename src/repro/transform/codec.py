@@ -236,16 +236,11 @@ class ValueTransformCodec:
             (n_rows, self.num_chips, lines_per_row, self.rotation.words_per_chip),
             dtype=self.dtype,
         )
-        rotations = (
-            row_indices % self.num_chips
-            if self.rotation.rotate
-            else np.zeros(n_rows, dtype=np.int64)
-        )
+        rotations = row_indices % self.num_chips
         for rot in np.unique(rotations):
             idx = np.flatnonzero(rotations == rot)
-            for chip in range(self.num_chips):
-                word_slots = self.rotation.words_of_chip(chip, int(rot))
-                out[idx, chip] = transformed[idx][:, :, word_slots]
+            slots = self.rotation.slot_table[rot]  # (chips, words_per_chip)
+            out[idx] = transformed[idx][:, :, slots].transpose(0, 2, 1, 3)
         return out
 
     def decode_rows(self, chip_data: np.ndarray, row_indices: np.ndarray) -> np.ndarray:
@@ -255,18 +250,14 @@ class ValueTransformCodec:
         n_rows, _, lines_per_row, _ = chip_data.shape
         words = self.rotation.words_per_line
         gathered = np.empty((n_rows, lines_per_row, words), dtype=self.dtype)
-        rotations = (
-            row_indices % self.num_chips
-            if self.rotation.rotate
-            else np.zeros(n_rows, dtype=np.int64)
-        )
+        rotations = row_indices % self.num_chips
         for rot in np.unique(rotations):
             idx = np.flatnonzero(rotations == rot)
-            for chip in range(self.num_chips):
-                word_slots = self.rotation.words_of_chip(chip, int(rot))
-                gathered[np.ix_(idx, np.arange(lines_per_row), word_slots)] = (
-                    chip_data[idx, chip]
-                )
+            lines = np.empty((len(idx), lines_per_row, words), dtype=self.dtype)
+            lines[:, :, self.rotation.slot_table[rot]] = (
+                chip_data[idx].transpose(0, 2, 1, 3)
+            )
+            gathered[idx] = lines
         if self.stages.celltype_aware:
             anti = self.predictor.predict_anti(row_indices)
             if anti.any():

@@ -77,6 +77,11 @@ class RotationMapper:
         self.words_per_chip = words_per_line // num_chips
         self.rotate = rotate
         self.dtype = word_dtype(word_bytes)
+        # slot_table[row % num_chips, chip] == words_of_chip(chip, row)
+        self.slot_table = np.stack([
+            np.stack([self.words_of_chip(chip, rot) for chip in range(num_chips)])
+            for rot in range(num_chips)
+        ])  # (rotations, chips, words_per_chip)
 
     # ------------------------------------------------------------------
     def rotation_amount(self, row_index: int) -> int:
@@ -103,12 +108,8 @@ class RotationMapper:
         in (line, word-slot) order.
         """
         lines = self._check(lines)
-        out = np.empty(
-            (self.num_chips, len(lines), self.words_per_chip), dtype=self.dtype
-        )
-        for chip in range(self.num_chips):
-            out[chip] = lines[:, self.words_of_chip(chip, row_index)]
-        return out
+        slots = self.slot_table[row_index % self.num_chips]
+        return np.ascontiguousarray(lines[:, slots].transpose(1, 0, 2))
 
     def gather(self, chip_data: np.ndarray, row_index: int) -> np.ndarray:
         """Invert :meth:`scatter`: rebuild lines from per-chip row data."""
@@ -120,8 +121,9 @@ class RotationMapper:
             )
         n_lines = chip_data.shape[1]
         lines = np.empty((n_lines, self.words_per_line), dtype=self.dtype)
-        for chip in range(self.num_chips):
-            lines[:, self.words_of_chip(chip, row_index)] = chip_data[chip]
+        lines[:, self.slot_table[row_index % self.num_chips]] = (
+            chip_data.transpose(1, 0, 2)
+        )
         return lines
 
     # ------------------------------------------------------------------

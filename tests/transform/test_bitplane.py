@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.transform.bitplane import BitPlaneTransform
 from repro.transform.celltype import CellType
 from repro.transform.ebdi import EbdiCodec
+from tests.transform.bitplane_reference import ReferenceBitPlane
 
 
 @pytest.fixture
@@ -103,3 +104,80 @@ class TestBitPlaneTransform:
         t = BitPlaneTransform()
         lines = np.array([words], dtype=np.uint64)
         np.testing.assert_array_equal(t.invert(t.apply(lines)), lines)
+
+
+WORD_SIZES = (2, 4, 8)
+LINE_KINDS = ("random", "zeros", "ones", "narrow")
+
+
+def make_lines(word_bytes, kinds, seed):
+    """One line per entry of ``kinds``: random words, all zeros, all
+    ones, or a random base with deltas a few bits wide."""
+    dtype = np.dtype(f"u{word_bytes}")
+    words = 64 // word_bytes
+    top = np.iinfo(dtype).max
+    rng = np.random.default_rng(seed)
+    lines = np.empty((len(kinds), words), dtype=dtype)
+    for i, kind in enumerate(kinds):
+        if kind == "random":
+            lines[i] = rng.integers(0, top, size=words, dtype=dtype, endpoint=True)
+        elif kind == "zeros":
+            lines[i] = 0
+        elif kind == "ones":
+            lines[i] = top
+        else:
+            width = int(rng.integers(1, word_bytes * 8 // 2 + 1))
+            base = rng.integers(0, top, dtype=dtype, endpoint=True)
+            lines[i] = base + rng.integers(0, 2**width, size=words).astype(dtype)
+    return lines
+
+
+class TestAgainstReference:
+    """The table-driven transpose equals the per-bit gather it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(word_bytes=st.sampled_from(WORD_SIZES),
+           kinds=st.lists(st.sampled_from(LINE_KINDS), min_size=0, max_size=70),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_apply_and_invert_match_reference(self, word_bytes, kinds, seed):
+        lines = make_lines(word_bytes, kinds, seed)
+        fast = BitPlaneTransform(word_bytes=word_bytes)
+        ref = ReferenceBitPlane(word_bytes=word_bytes)
+        applied = fast.apply(lines)
+        np.testing.assert_array_equal(applied, ref.apply(lines))
+        assert applied.shape == lines.shape and applied.dtype == lines.dtype
+        np.testing.assert_array_equal(fast.invert(lines), ref.invert(lines))
+        np.testing.assert_array_equal(fast.invert(applied), lines)
+
+    @pytest.mark.parametrize("word_bytes", WORD_SIZES)
+    def test_every_single_bit_lands_where_reference_puts_it(self, word_bytes):
+        fast = BitPlaneTransform(word_bytes=word_bytes)
+        ref = ReferenceBitPlane(word_bytes=word_bytes)
+        words = 64 // word_bytes
+        lines = np.zeros((words * word_bytes * 8, words), dtype=fast.dtype)
+        flat = lines.view(np.uint8).reshape(len(lines), 64)
+        for k in range(len(lines)):
+            flat[k, k // 8] = 1 << (k % 8)
+        np.testing.assert_array_equal(fast.apply(lines), ref.apply(lines))
+        np.testing.assert_array_equal(fast.invert(lines), ref.invert(lines))
+
+    def test_large_batch_crosses_lookup_blocks(self):
+        lines = make_lines(8, ["random"] * 2500, seed=17)
+        fast, ref = BitPlaneTransform(), ReferenceBitPlane()
+        np.testing.assert_array_equal(fast.apply(lines), ref.apply(lines))
+        np.testing.assert_array_equal(fast.invert(lines), ref.invert(lines))
+
+    def test_non_contiguous_input(self):
+        lines = make_lines(8, ["random"] * 12, seed=3)
+        view = np.asfortranarray(lines)[::2]
+        np.testing.assert_array_equal(
+            BitPlaneTransform().apply(view), ReferenceBitPlane().apply(view))
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("word_bytes", WORD_SIZES)
+    def test_apply_and_invert_accept_zero_lines(self, word_bytes):
+        t = BitPlaneTransform(word_bytes=word_bytes)
+        empty = np.zeros((0, t.words_per_line), dtype=t.dtype)
+        for out in (t.apply(empty), t.invert(empty)):
+            assert out.shape == empty.shape and out.dtype == empty.dtype

@@ -102,3 +102,27 @@ class TestRotationMapper:
         np.testing.assert_array_equal(
             mapper.gather(mapper.scatter(lines, row), row), lines
         )
+
+
+class TestSlotTable:
+    @pytest.mark.parametrize("word_bytes", [2, 4, 8])
+    @pytest.mark.parametrize("rotate", [True, False])
+    def test_matches_words_of_chip(self, word_bytes, rotate):
+        m = RotationMapper(num_chips=8, word_bytes=word_bytes, rotate=rotate)
+        assert m.slot_table.shape == (8, 8, m.words_per_chip)
+        for row in range(20):
+            for chip in range(8):
+                np.testing.assert_array_equal(
+                    m.slot_table[row % 8, chip], m.words_of_chip(chip, row))
+
+    @pytest.mark.parametrize("word_bytes", [2, 4, 8])
+    def test_scatter_matches_per_chip_gather(self, word_bytes):
+        m = RotationMapper(num_chips=8, word_bytes=word_bytes)
+        rng = np.random.default_rng(word_bytes)
+        lines = rng.integers(0, 2**16, size=(5, m.words_per_line)).astype(m.dtype)
+        for row in (0, 3, 13):
+            chips = m.scatter(lines, row)
+            assert chips.flags.c_contiguous
+            for chip in range(8):
+                np.testing.assert_array_equal(
+                    chips[chip], lines[:, m.words_of_chip(chip, row)])
