@@ -73,18 +73,6 @@ class HybridRefreshEngine(RefreshEngine):
         return TrackingCosts(sram_bits=self._recency.size * 2)
 
     # ------------------------------------------------------------------
-    def checkpoint_state(self) -> dict:
-        state = super().checkpoint_state()
-        state["recency"] = self._recency.copy()
-        state["recency_skips"] = self.recency_skips
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        np.copyto(self._recency, state["recency"])
-        self.recency_skips = int(state["recency_skips"])
-
-    # ------------------------------------------------------------------
     def _recency_group_status(self, bank: int, ar_set: int) -> np.ndarray:
         """Groups whose every covered row was activated this window."""
         steps = self.group_steps(ar_set)

@@ -232,52 +232,7 @@ class RefreshEngine:
         """This engine's :class:`~repro.sim.scheme.SchemeCapabilities`."""
         from repro.sim.scheme import SchemeCapabilities
 
-        return SchemeCapabilities(
-            wants_access_events=self.wants_access_events,
-            checkpointable=True,
-        )
-
-    # ------------------------------------------------------------------
-    # checkpointing (the Checkpointable capability)
-    # ------------------------------------------------------------------
-    def checkpoint_state(self) -> dict:
-        """Everything needed to resume this engine bit-identically.
-
-        Covers the engine's counters, the device's charge/content state
-        and whichever tracking structures the mode carries.  Geometry,
-        timing and policy are construction-time config and are recorded
-        only to validate the restore target.
-        """
-        state = {
-            "mode": self.mode,
-            "policy": self.policy,
-            "stats": dict(vars(self.stats)),
-            "device": self.device.state_dict(),
-        }
-        if self.access_bits is not None:
-            state["access_bits"] = self.access_bits.state_dict()
-        if self.status_table is not None:
-            state["status_table"] = self.status_table.state_dict()
-        if self.naive_tracker is not None:
-            state["naive_tracker"] = self.naive_tracker.state_dict()
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        """Restore :meth:`checkpoint_state` output into this engine."""
-        if state.get("mode") != self.mode or state.get("policy") != self.policy:
-            raise ValueError(
-                f"checkpoint is for mode={state.get('mode')!r} "
-                f"policy={state.get('policy')!r}, engine is "
-                f"mode={self.mode!r} policy={self.policy!r}"
-            )
-        self.stats = RefreshStats(**state["stats"])
-        self.device.load_state(state["device"])
-        if self.access_bits is not None:
-            self.access_bits.load_state(state["access_bits"])
-        if self.status_table is not None:
-            self.status_table.load_state(state["status_table"])
-        if self.naive_tracker is not None:
-            self.naive_tracker.load_state(state["naive_tracker"])
+        return SchemeCapabilities(wants_access_events=self.wants_access_events)
 
     # ------------------------------------------------------------------
     def _naive_on_write(self, bank: int, row: int) -> None:

@@ -18,11 +18,6 @@ out over a ``ProcessPoolExecutor`` when ``jobs > 1``.  Jobs are fully
 deterministic (seeds are explicit in the job description), so parallel
 and serial execution produce identical results.
 
-Experiments that still expose only the legacy ``run(settings)``
-callable are wrapped by :class:`Experiment` with a shim: they execute
-in-process as one opaque job whose *whole* :class:`ExperimentResult`
-is cached.
-
 Every executed or cache-served job appends an entry to the runner's
 manifest (experiment id, settings digest, cache hit/miss, wall time,
 worker id), which :mod:`repro.experiments.__main__` writes as JSONL
@@ -78,7 +73,6 @@ from repro.experiments.backends import (
 from repro.experiments.cache import ResultCache, stable_digest
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
-from repro.experiments.worker import captured_call
 from repro.obs import empty_snapshot, get_probes, merge_snapshots
 from repro.obs.probes import JsonlTraceSink
 from repro.obs.spans import (
@@ -193,7 +187,7 @@ def _unpack_cached(payload):
 
 
 class Experiment:
-    """A registered experiment: ``plan``/``reduce`` or a legacy ``run``.
+    """A registered experiment: a ``plan``/``reduce`` pair.
 
     Calling the experiment directly (``REGISTRY[name](settings)``) runs
     it serially with no cache — exactly the pre-engine behaviour — so
@@ -205,26 +199,12 @@ class Experiment:
         self,
         experiment_id: str,
         *,
-        plan: Optional[Callable[[ExperimentSettings], List[SimJob]]] = None,
-        reduce: Optional[Callable[[ExperimentSettings, list], ExperimentResult]] = None,
-        run: Optional[Callable[[ExperimentSettings], ExperimentResult]] = None,
+        plan: Callable[[ExperimentSettings], List[SimJob]],
+        reduce: Callable[[ExperimentSettings, list], ExperimentResult],
     ):
-        if run is None and (plan is None or reduce is None):
-            raise ValueError(
-                f"experiment {experiment_id!r} needs plan+reduce or a legacy run"
-            )
-        if run is not None and (plan is not None or reduce is not None):
-            raise ValueError(
-                f"experiment {experiment_id!r}: give plan+reduce or run, not both"
-            )
         self.experiment_id = experiment_id
         self.plan = plan
         self.reduce = reduce
-        self.legacy_run = run
-
-    @property
-    def is_legacy(self) -> bool:
-        return self.legacy_run is not None
 
     def __call__(
         self, settings: Optional[ExperimentSettings] = None
@@ -232,8 +212,7 @@ class Experiment:
         return Runner(jobs=1, cache=None).run_experiment(self, settings)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "legacy" if self.is_legacy else "plan/reduce"
-        return f"Experiment({self.experiment_id!r}, {kind})"
+        return f"Experiment({self.experiment_id!r})"
 
 
 @dataclass
@@ -389,19 +368,6 @@ class Runner:
             settings = ExperimentSettings()
         failures_before = len(self.failures)
         t_run0 = time.time()
-        if experiment.is_legacy:
-            key = (
-                self.cache.experiment_key(experiment.experiment_id, settings)
-                if self.cache
-                else stable_digest((experiment.experiment_id, settings))
-            )
-            self._open_journal(experiment.experiment_id, settings, [key],
-                               run_id, resume)
-            try:
-                return self._run_legacy(experiment, settings, key)
-            finally:
-                self._finish_run(experiment.experiment_id, 1,
-                                 failures_before, t_run0)
         t_plan0 = time.time()
         plan = experiment.plan(settings)
         keys = self._plan_keys(settings, plan)
@@ -867,76 +833,6 @@ class Runner:
                 )
 
     # ------------------------------------------------------------------
-    def _run_legacy(
-        self, experiment: Experiment, settings: ExperimentSettings,
-        key: Optional[str] = None,
-    ) -> ExperimentResult:
-        """The unmigrated-``run()`` shim: whole-result caching, serial."""
-        if key is None:
-            key = (
-                self.cache.experiment_key(experiment.experiment_id, settings)
-                if self.cache
-                else stable_digest((experiment.experiment_id, settings))
-            )
-        cached = self.cache.get(key) if self.cache else None
-        if cached is not None:
-            result, snapshot = _unpack_cached(cached)
-            ambient = get_probes()
-            if key in self._resume_keys:
-                self.stats.journal_replays += 1
-                ambient.count("engine.journal_replays")
-            if self._journal is not None:
-                self._journal.record_done(key)
-            if ambient.enabled and snapshot:
-                ambient.merge_snapshot(snapshot)
-            self._merge_metrics([key], {key: snapshot})
-            self._record(
-                experiment_id=experiment.experiment_id,
-                job_index=0,
-                fn="legacy:run",
-                benchmark="",
-                allocated_fraction=1.0,
-                digest=key,
-                settings_digest=stable_digest(settings),
-                cache_hit=True,
-                wall_s=0.0,
-                worker=None,
-            )
-            return result
-        start = time.perf_counter()
-        t0_wall = time.time()
-        result, snapshot = captured_call(
-            lambda: experiment.legacy_run(settings), self.watchdog
-        )
-        wall_s = time.perf_counter() - start
-        if self.tracer is not None:
-            self.tracer.record_span(
-                "job", parent=self._span_root, qualifier=key,
-                t0=t0_wall, dur_s=wall_s, digest=key, status="done",
-                legacy=True)
-        ambient = get_probes()
-        if ambient.enabled and snapshot:
-            ambient.merge_snapshot(snapshot, include_phases=True)
-        self._merge_metrics([key], {key: snapshot})
-        if self.cache:
-            self.cache.put(key, _pack_cached(result, snapshot))
-        if self._journal is not None:
-            self._journal.record_done(key)
-        self._record(
-            experiment_id=experiment.experiment_id,
-            job_index=0,
-            fn="legacy:run",
-            benchmark="",
-            allocated_fraction=1.0,
-            digest=key or "",
-            settings_digest=stable_digest(settings),
-            cache_hit=False,
-            wall_s=wall_s,
-            worker=os.getpid(),
-        )
-        return result
-
-    # ------------------------------------------------------------------
     def _record(self, *, cache_hit: bool, wall_s: float, **entry) -> None:
         self.manifest.append(dict(entry, cache_hit=cache_hit, wall_s=round(wall_s, 4)))
         self.stats.jobs += 1
@@ -987,152 +883,6 @@ class Runner:
 
     def summary(self, elapsed_s: float) -> str:
         return self.stats.merged_into_summary(elapsed_s)
-
-
-# ----------------------------------------------------------------------
-# submittable experiment requests (the serving layer's job unit)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExperimentRequest:
-    """One self-contained, picklable experiment execution request.
-
-    This is the unit :mod:`repro.serve` ships to a worker process: it
-    names the experiment, carries the settings overrides in wire form
-    (see :meth:`ExperimentSettings.from_dict`), the cache location and
-    the resume/retry policy, and nothing else — so
-    :func:`execute_request` can run it in any process with no shared
-    state beyond the on-disk result cache and journal.
-
-    ``spec`` is the ad-hoc sweep path: a
-    :class:`~repro.scenarios.spec.ScenarioSpec` wire dict run by the
-    generic executor instead of a registered experiment.  Exactly one
-    of ``experiment_id`` and ``spec`` must be set; the spec's
-    ``scenario_id`` then serves as the experiment id everywhere (cache,
-    journal, response payload).
-    """
-
-    experiment_id: Optional[str] = None
-    quick: bool = True
-    overrides: Optional[Dict[str, object]] = None
-    use_cache: bool = True
-    cache_dir: Optional[str] = None
-    jobs: int = 1
-    resume: Optional[str] = None
-    timeout_s: Optional[float] = None
-    max_attempts: Optional[int] = None
-    spec: Optional[Dict[str, object]] = None
-    backend: Optional[str] = None
-    workers: Optional[int] = None
-
-
-def _request_spec(request: ExperimentRequest):
-    """The request's parsed :class:`ScenarioSpec`, or ``None``."""
-    if request.spec is None:
-        return None
-    from repro.scenarios.spec import ScenarioSpec
-
-    return ScenarioSpec.from_dict(request.spec)
-
-
-def _request_id(request: ExperimentRequest) -> str:
-    """The id the request runs under: experiment or scenario id."""
-    if request.spec is not None:
-        return str(dict(request.spec).get("scenario_id", ""))
-    return request.experiment_id or ""
-
-
-def request_digest(request: ExperimentRequest) -> str:
-    """Stable identity of a request's *outcome* (not its cache config).
-
-    Two requests that must produce byte-identical results — same
-    experiment, same settings — share a digest even if one disables
-    the cache or carries a resume token; the serving layer uses this
-    for single-flight coalescing of concurrent identical submissions.
-    """
-    settings = ExperimentSettings.from_dict(request.overrides, request.quick)
-    if request.spec is not None:
-        from repro.scenarios.spec import spec_digest
-
-        return stable_digest("sweep-request",
-                             spec_digest(_request_spec(request)), settings)
-    return stable_digest("experiment-request", request.experiment_id, settings)
-
-
-def request_run_id(request: ExperimentRequest) -> str:
-    """The deterministic journal run id this request will write under."""
-    settings = ExperimentSettings.from_dict(request.overrides, request.quick)
-    return journal_mod.default_run_id(_request_id(request), settings)
-
-
-def execute_request(request: ExperimentRequest) -> dict:
-    """Run one :class:`ExperimentRequest` to completion, synchronously.
-
-    Importable at module top level and driven only by its picklable
-    argument, so it can be submitted to a ``ProcessPoolExecutor`` (or a
-    thread executor) via ``loop.run_in_executor`` — the asyncio serving
-    layer's offload path.  Internally the request is translated to a
-    :class:`repro.experiments.lifecycle.RunRequest`, so serve-submitted
-    runs get exactly the same journal/retry/resume lifecycle as API and
-    CLI runs.  Returns a JSON-able payload: the rendered result
-    (``result_json`` is deterministic for identical requests), engine
-    cache statistics, the run's merged metrics snapshot, its resume
-    token (``run_id``) and any partial-failure records.
-    """
-    from repro.experiments.lifecycle import RunRequest, execute, runner_for
-
-    spec = _request_spec(request)
-    if spec is not None:
-        if request.experiment_id:
-            raise ValueError(
-                "give experiment_id or spec, not both"
-            )
-        # Expand eagerly so an unresolvable spec fails before any
-        # scheduling (the serve layer turns this into a 400).
-        from repro.scenarios.executor import expand
-
-        expand(spec, ExperimentSettings.from_dict(request.overrides,
-                                                  request.quick))
-    else:
-        from repro.experiments import REGISTRY
-
-        if request.experiment_id not in REGISTRY:
-            raise KeyError(f"unknown experiment {request.experiment_id!r}")
-    settings = ExperimentSettings.from_dict(request.overrides, request.quick)
-    retry = (RetryPolicy(max_attempts=request.max_attempts)
-             if request.max_attempts else None)
-    run_request = RunRequest(
-        experiment_id=None if spec is not None else request.experiment_id,
-        spec=spec,
-        settings=settings,
-        jobs=request.jobs,
-        cache=request.use_cache,
-        cache_dir=request.cache_dir,
-        timeout_s=request.timeout_s,
-        retry=retry,
-        resume=request.resume,
-        backend=request.backend,
-        workers=request.workers,
-    )
-    runner = runner_for(run_request)
-    start = time.perf_counter()
-    try:
-        result = execute(run_request, runner=runner)
-    finally:
-        runner.close()
-    return {
-        "experiment_id": _request_id(request),
-        "digest": request_digest(request),
-        "result_json": result.to_json(indent=2),
-        "cache_hits": runner.stats.cache_hits,
-        "cache_misses": runner.stats.cache_misses,
-        "wall_s": round(time.perf_counter() - start, 4),
-        "metrics": runner.merged_metrics,
-        "run_id": runner.last_run_id,
-        "trace_id": runner.last_trace_id,
-        "retries": runner.stats.retries,
-        "journal_replays": runner.stats.journal_replays,
-        "failures": [asdict(f) for f in runner.failures],
-    }
 
 
 def sweep_jobs(

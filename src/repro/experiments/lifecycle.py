@@ -1,13 +1,10 @@
 """The unified run lifecycle: one request object, one runner recipe.
 
-There used to be three slightly different ways to ask for a run —
-``repro.api.run_experiment`` kwargs, the CLI's flag soup, and the
-serving layer's :class:`~repro.experiments.engine.ExperimentRequest` —
-each re-resolving cache config and each with its own idea of what
-``probes`` or ``jobs`` meant.  :class:`RunRequest` collapses them:
-every entry point builds one of these, and the policy knobs (cache,
-journal, timeout, retry, resume, fault injection) are defined exactly
-once, here.
+Every entry point — ``repro.api.run``, the CLI, ``run_experiments.py``
+and the serving layer — describes a run with one :class:`RunRequest`,
+so the policy knobs (cache, journal, timeout, retry, resume, fault
+injection) and the ``probes``/``jobs`` rule are defined exactly once,
+here.
 
 The functions below are the whole lifecycle:
 
@@ -22,16 +19,25 @@ The functions below are the whole lifecycle:
 :func:`execute`
     Run the request (optionally on a shared runner), installing its
     probe bus and threading its resume token through the journal.
+:func:`request_digest` / :func:`request_run_id`
+    A request's outcome identity (the serving layer's single-flight
+    key) and the journal run id it writes under.
+:func:`execute_request`
+    :func:`execute` as a picklable, JSON-returning call — the serving
+    layer's offload unit.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+import time
 import warnings
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from dataclasses import asdict, dataclass
+from typing import Optional, Union
 
-from repro.experiments.cache import ResultCache
+from repro.experiments import journal as journal_mod
+from repro.experiments.cache import ResultCache, stable_digest
 from repro.experiments.engine import RetryPolicy, Runner
 from repro.experiments.faults import FaultPlan
 from repro.experiments.runner import ExperimentResult, ExperimentSettings
@@ -41,6 +47,9 @@ __all__ = [
     "RunRequest",
     "build_runner",
     "execute",
+    "execute_request",
+    "request_digest",
+    "request_run_id",
     "resolve_jobs",
     "runner_for",
 ]
@@ -139,14 +148,33 @@ class RunRequest:
     worker_address: Optional[str] = None
 
 
+# module paths share their sys.path entry, so this prefixes every
+# repro frame's co_filename exactly as it prefixes this file's
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(__file__)) + os.sep
+
+
+def _caller_stacklevel() -> int:
+    """The ``stacklevel`` of the first frame outside the ``repro``
+    package, counted from the function that calls this one — so a
+    warning names the user's line however many library frames
+    (``repro.api.run`` → ``execute`` → ``runner_for``) sit between."""
+    frame = sys._getframe(1)
+    level = 1
+    while (frame.f_back is not None
+           and frame.f_code.co_filename.startswith(_PACKAGE_DIR)):
+        frame = frame.f_back
+        level += 1
+    return level
+
+
 def resolve_jobs(jobs: Optional[int], probes) -> Optional[int]:
     """Apply the ``probes`` → in-process coercion, loudly.
 
     The probe bus is per-process: live tracing through ``probes`` only
     sees jobs executed in-process, so an instrumented run forces
     ``jobs=1``.  When that overrides an explicit ``jobs`` value the
-    caller is told via :class:`RuntimeWarning` instead of silently
-    getting a serial run.
+    caller is told via :class:`RuntimeWarning`, attributed to the
+    caller's own line, instead of silently getting a serial run.
     """
     if probes is None:
         return jobs
@@ -156,7 +184,7 @@ def resolve_jobs(jobs: Optional[int], probes) -> Optional[int]:
             f"with jobs=1 (drop probes= to fan out; per-job metric "
             f"snapshots are captured either way)",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=_caller_stacklevel(),
         )
     return 1
 
@@ -179,10 +207,10 @@ def build_runner(
     """Assemble a :class:`Runner` from policy knobs.
 
     The single runner-construction recipe shared by ``repro.api``
-    (``make_runner``, ``run_experiment``, ``run_all``), the CLI and
-    the serving layer.  A runner whose backend holds long-lived
-    machinery (a cluster fleet) should be released with
-    ``Runner.close()`` when the caller is done with it.
+    (``make_runner``, ``run``), the CLI and the serving layer.  A
+    runner whose backend holds long-lived machinery (a cluster fleet)
+    should be released with ``Runner.close()`` when the caller is done
+    with it.
     """
     from repro.experiments.backends import resolve_backend
 
@@ -228,7 +256,7 @@ def execute(request: RunRequest, runner: Optional[Runner] = None) -> ExperimentR
     """Run one :class:`RunRequest` to completion.
 
     Pass a shared ``runner`` to reuse one cache/manifest across several
-    requests (``repro.api.run_all`` and the CLI's ``all`` do); it is
+    requests (the CLI's ``all`` and ``run_experiments.py`` do); it is
     built from the request otherwise — and an internally-built runner
     is closed before returning, so its backend machinery and the run's
     advisory lock are released the moment the run ends rather than at
@@ -275,27 +303,71 @@ def execute(request: RunRequest, runner: Optional[Runner] = None) -> ExperimentR
             runner.close()
 
 
-def execute_all(
-    request_defaults: RunRequest,
-    runner: Optional[Runner] = None,
-) -> Dict[str, ExperimentResult]:
-    """Run every registered experiment with one shared runner.
+def _settings(request: RunRequest) -> ExperimentSettings:
+    """The settings the request runs with (``None``: paper defaults)."""
+    if request.settings is None:
+        return ExperimentSettings()
+    return request.settings
 
-    ``request_defaults.experiment_id`` is ignored; each experiment runs
-    with the same settings/policy.  The shared runner means one cache,
-    one journal namespace and one merged metrics manifest across the
-    whole sweep.
+
+def _request_id(request: RunRequest) -> str:
+    """The id the request runs under: experiment or scenario id."""
+    if request.spec is not None:
+        return request.spec.scenario_id
+    return request.experiment_id or ""
+
+
+def request_digest(request: RunRequest) -> str:
+    """Stable identity of a request's *outcome* (not its run policy).
+
+    Two requests that must produce byte-identical results — same
+    experiment or spec, same settings — share a digest even if one
+    disables the cache or carries a resume token; the serving layer
+    uses this for single-flight coalescing of concurrent identical
+    submissions.
     """
-    from dataclasses import replace
+    settings = _settings(request)
+    if request.spec is not None:
+        from repro.scenarios.spec import spec_digest
 
-    from repro.experiments import REGISTRY
+        return stable_digest("sweep-request", spec_digest(request.spec),
+                             settings)
+    return stable_digest("experiment-request", request.experiment_id, settings)
 
-    if runner is None:
-        runner = runner_for(request_defaults)
+
+def request_run_id(request: RunRequest) -> str:
+    """The deterministic journal run id this request will write under."""
+    return journal_mod.default_run_id(_request_id(request), _settings(request))
+
+
+def execute_request(request: RunRequest) -> dict:
+    """Run one :class:`RunRequest` to completion; a JSON-able payload.
+
+    Importable at module top level and driven only by its picklable
+    argument, so it can be submitted to a ``ProcessPoolExecutor`` (or a
+    thread executor) via ``loop.run_in_executor`` — the asyncio serving
+    layer's offload path.  Returns the rendered result (``result_json``
+    is deterministic for identical requests), engine cache statistics,
+    the run's merged metrics snapshot, its resume token (``run_id``)
+    and any partial-failure records.
+    """
+    runner = runner_for(request)
+    start = time.perf_counter()
+    try:
+        result = execute(request, runner=runner)
+    finally:
+        runner.close()
     return {
-        experiment_id: execute(
-            replace(request_defaults, experiment_id=experiment_id),
-            runner=runner,
-        )
-        for experiment_id in REGISTRY
+        "experiment_id": _request_id(request),
+        "digest": request_digest(request),
+        "result_json": result.to_json(indent=2),
+        "cache_hits": runner.stats.cache_hits,
+        "cache_misses": runner.stats.cache_misses,
+        "wall_s": round(time.perf_counter() - start, 4),
+        "metrics": runner.merged_metrics,
+        "run_id": runner.last_run_id,
+        "trace_id": runner.last_trace_id,
+        "retries": runner.stats.retries,
+        "journal_replays": runner.stats.journal_replays,
+        "failures": [asdict(f) for f in runner.failures],
     }

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -114,20 +114,35 @@ async def handle_transform(server, request: HttpRequest) -> Response:
 
 
 # ----------------------------------------------------------------------
-# data plane: /v1/experiments/{id}
+# data plane: /v1/experiments/{id} and /v1/sweeps
 # ----------------------------------------------------------------------
-def parse_experiment_request(server, experiment_id: str,
-                             request: HttpRequest):
-    """Validate an experiment body into an engine ExperimentRequest."""
-    from repro.experiments import REGISTRY
-    from repro.experiments.engine import ExperimentRequest
+def run_request_from_body(server, experiment_id: Optional[str], payload):
+    """Validate a JSON-decoded experiment or sweep body into a RunRequest.
 
-    if experiment_id not in REGISTRY:
+    ``experiment_id`` names the registered experiment a
+    ``/v1/experiments/{id}`` body runs; ``None`` means a ``/v1/sweeps``
+    body, which carries a full :class:`~repro.scenarios.spec.ScenarioSpec`
+    wire dict under ``spec``.  Both take the same ``quick``/
+    ``overrides``/``resume`` knobs.  Settings are resolved and a spec is
+    parsed and expanded eagerly, so an unknown override key, axis or
+    reduction is a 400 here, never a failed engine run.  The drain
+    snapshot's resume path replays stored bodies through this same
+    function.
+    """
+    from repro.experiments import REGISTRY
+    from repro.experiments.lifecycle import RunRequest
+    from repro.experiments.runner import ExperimentSettings
+    from repro.scenarios.executor import expand
+    from repro.scenarios.spec import ScenarioError, ScenarioSpec
+
+    if experiment_id is not None and experiment_id not in REGISTRY:
         raise HttpError(404, f"unknown experiment {experiment_id!r}")
-    payload = request.json()
     if not isinstance(payload, dict):
         raise HttpError(400, "body must be a JSON object")
-    unknown = sorted(set(payload) - {"quick", "overrides", "resume"})
+    fields = {"quick", "overrides", "resume"}
+    if experiment_id is None:
+        fields.add("spec")
+    unknown = sorted(set(payload) - fields)
     if unknown:
         raise HttpError(
             400, f"unknown request field(s): {', '.join(unknown)}"
@@ -145,87 +160,51 @@ def parse_experiment_request(server, experiment_id: str,
         json.dumps(overrides)
     except (TypeError, ValueError) as exc:  # pragma: no cover - json gave it
         raise HttpError(400, f"overrides not JSON-able: {exc}") from None
-    return ExperimentRequest(
-        experiment_id=experiment_id,
-        quick=quick,
-        overrides=overrides or None,
-        use_cache=server.config.use_cache,
-        cache_dir=server.config.cache_dir,
-        jobs=1,
-        resume=resume,
-        backend=server.config.experiment_backend,
-        workers=server.config.experiment_workers,
-    )
-
-
-# ----------------------------------------------------------------------
-# data plane: /v1/sweeps
-# ----------------------------------------------------------------------
-def parse_sweep_request(server, request: HttpRequest):
-    """Validate a sweep body into an engine ExperimentRequest.
-
-    The body carries a full :class:`~repro.scenarios.spec.ScenarioSpec`
-    wire dict under ``spec`` plus the same ``quick``/``overrides``/
-    ``resume`` knobs the experiment endpoint takes.  The spec is parsed
-    and expanded eagerly so an unknown axis, override key or reduction
-    is a 400 here, never a failed engine run.
-    """
-    from repro.experiments.engine import ExperimentRequest
-    from repro.experiments.runner import ExperimentSettings
-    from repro.scenarios.executor import expand
-    from repro.scenarios.spec import ScenarioError, ScenarioSpec
-
-    payload = request.json()
-    if not isinstance(payload, dict):
-        raise HttpError(400, "body must be a JSON object")
-    unknown = sorted(set(payload) - {"spec", "quick", "overrides", "resume"})
-    if unknown:
-        raise HttpError(
-            400, f"unknown request field(s): {', '.join(unknown)}"
-        )
-    quick = payload.get("quick", True)
-    if not isinstance(quick, bool):
-        raise HttpError(400, "quick must be a boolean")
-    overrides = payload.get("overrides") or {}
-    if not isinstance(overrides, dict):
-        raise HttpError(400, "overrides must be a JSON object")
-    resume = payload.get("resume")
-    if resume is not None and not isinstance(resume, str):
-        raise HttpError(400, "resume must be a run-id string")
     spec_data = payload.get("spec")
-    if not isinstance(spec_data, dict):
+    if experiment_id is None and not isinstance(spec_data, dict):
         raise HttpError(400, "spec must be a JSON object (the wire form "
                              "of a ScenarioSpec; see repro list / "
                              "ScenarioSpec.to_dict)")
+    spec = None
     try:
-        spec = ScenarioSpec.from_dict(spec_data)
+        if experiment_id is None:
+            spec = ScenarioSpec.from_dict(spec_data)
         settings = ExperimentSettings.from_dict(overrides or None,
                                                 quick=quick)
-        expand(spec, settings)
+        if spec is not None:
+            expand(spec, settings)
     except ScenarioError as exc:
         raise HttpError(400, f"invalid sweep spec: {exc}") from None
     except ValueError as exc:
         raise HttpError(400, str(exc)) from None
-    return ExperimentRequest(
-        spec=spec.to_dict(),
-        quick=quick,
-        overrides=overrides or None,
-        use_cache=server.config.use_cache,
-        cache_dir=server.config.cache_dir,
+    return RunRequest(
+        experiment_id=experiment_id,
+        spec=spec,
+        settings=settings,
         jobs=1,
+        cache=server.config.use_cache,
+        cache_dir=server.config.cache_dir,
         resume=resume,
         backend=server.config.experiment_backend,
         workers=server.config.experiment_workers,
     )
 
 
-async def handle_sweep(server, request: HttpRequest) -> Response:
-    engine_request = parse_sweep_request(server, request)
-    server.bus.count("serve.sweep_requests")
+async def handle_experiment(server, experiment_id: Optional[str],
+                            request: HttpRequest) -> Response:
+    """Run one experiment (``experiment_id``) or sweep (``None``) body."""
+    body = request.json()
+    run_request = run_request_from_body(server, experiment_id, body)
+    if experiment_id is None:
+        server.bus.count("serve.sweep_requests")
     try:
-        payload = await server.submit_experiment(engine_request)
+        payload = await server.submit_experiment(
+            run_request, {"experiment_id": experiment_id, "body": body})
     except ValueError as exc:
+        # the engine rejected the request's spec or settings mid-run
         raise HttpError(400, str(exc)) from None
+    # the resume token rides in a header so the body stays byte-identical
+    # across fresh / cached / resumed executions of the same request
     headers = {}
     if payload.get("run_id"):
         headers["X-Repro-Run-Id"] = str(payload["run_id"])
@@ -250,7 +229,7 @@ def handle_run_status(server, run_id: str, request: HttpRequest) -> Response:
 
     from repro.experiments import journal as journal_mod
     from repro.experiments.cache import default_cache_dir
-    from repro.experiments.engine import request_run_id
+    from repro.experiments.lifecycle import request_run_id
     from repro.obs.spans import dedupe_spans, read_spans, span_path
 
     root = (Path(server.config.cache_dir) if server.config.cache_dir
@@ -259,7 +238,7 @@ def handle_run_status(server, run_id: str, request: HttpRequest) -> Response:
     spans = dedupe_spans(read_spans(span_path(root, run_id)))
     running = any(
         (req.resume or request_run_id(req)) == run_id
-        for req in list(server._inflight_experiments.values())
+        for req, _record in list(server._inflight_experiments.values())
     )
     if state is None and not spans and not running:
         raise HttpError(404, f"unknown run {run_id!r}")
@@ -298,19 +277,3 @@ def handle_run_status(server, run_id: str, request: HttpRequest) -> Response:
         body["cache_misses"] = run_span.get("cache_misses")
     return Response(body=json_body(body))
 
-
-async def handle_experiment(server, experiment_id: str,
-                            request: HttpRequest) -> Response:
-    engine_request = parse_experiment_request(server, experiment_id, request)
-    try:
-        payload = await server.submit_experiment(engine_request)
-    except ValueError as exc:
-        # ExperimentSettings.from_dict rejected the overrides
-        raise HttpError(400, str(exc)) from None
-    # the resume token rides in a header so the body stays byte-identical
-    # across fresh / cached / resumed executions of the same request
-    headers = {}
-    if payload.get("run_id"):
-        headers["X-Repro-Run-Id"] = str(payload["run_id"])
-    return Response(body=payload["result_json"].encode("utf-8"),
-                    headers=headers)

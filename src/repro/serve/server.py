@@ -13,7 +13,7 @@ planes:
 * **experiments** — ``POST /v1/experiments/{id}`` submissions are
   single-flighted by request digest (concurrent identical requests
   share one execution) and offloaded to a ``ProcessPoolExecutor`` via
-  :func:`~repro.experiments.engine.execute_request`, so CPU-bound
+  :func:`~repro.experiments.lifecycle.execute_request`, so CPU-bound
   simulation never blocks the event loop; the engine's
   content-addressed result cache makes repeat submissions cache hits.
   ``POST /v1/sweeps`` is the same machinery for ad-hoc
@@ -49,13 +49,13 @@ import os
 import signal
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.experiments.cache import default_cache_dir
-from repro.experiments.engine import (
-    ExperimentRequest,
+from repro.experiments.lifecycle import (
+    RunRequest,
     execute_request,
     request_digest,
     request_run_id,
@@ -73,6 +73,11 @@ from repro.serve.http import (
 )
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
 from repro.transform.codec import ValueTransformCodec
+
+
+INFLIGHT_SCHEMA = 2
+"""Version of ``serve-inflight.json``: a list of ``{"experiment_id",
+"body"}`` records, each replayed through the endpoints' parser."""
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,10 @@ class ReproServer:
         self._executor: Optional[Executor] = None
         self._singleflight: Dict[str, asyncio.Task] = {}
         # experiment requests currently executing in a worker, keyed by
-        # request digest — drained servers journal these to disk so a
+        # request digest, each with its snapshot record (the client's
+        # body) — drained servers journal the records to disk so a
         # restart can resume their runs instead of redoing finished jobs
-        self._inflight_experiments: Dict[str, ExperimentRequest] = {}
+        self._inflight_experiments: Dict[str, Tuple[RunRequest, dict]] = {}
         # created in start(): asyncio primitives bind the running loop
         # on Python 3.9, and servers may be constructed outside one
         self._idle_event: Optional[asyncio.Event] = None
@@ -347,7 +353,7 @@ class ReproServer:
         if path == "/v1/sweeps":
             if request.method != "POST":
                 raise HttpError(405, "use POST")
-            return await handlers.handle_sweep(self, request)
+            return await handlers.handle_experiment(self, None, request)
         if path.startswith("/v1/experiments/"):
             if request.method != "POST":
                 raise HttpError(405, "use POST")
@@ -376,8 +382,13 @@ class ReproServer:
     # ------------------------------------------------------------------
     # experiment submission: single-flight + executor offload
     # ------------------------------------------------------------------
-    async def submit_experiment(self, request: ExperimentRequest) -> dict:
+    async def submit_experiment(self, request: RunRequest,
+                                record: dict) -> dict:
         """Run ``request``, coalescing concurrent identical submissions.
+
+        ``record`` is what a drain snapshots if the run is still going:
+        ``{"experiment_id": <id or None for a sweep>, "body": <the
+        client's JSON body>}``.
 
         The digest covers the experiment id and fully-resolved settings
         — the same identity the result cache keys on — so while one
@@ -391,7 +402,7 @@ class ReproServer:
         coalesced = task is not None
         if not coalesced:
             task = asyncio.get_running_loop().create_task(
-                self._execute_experiment(request)
+                self._execute_experiment(request, record)
             )
             self._singleflight[key] = task
             task.add_done_callback(
@@ -408,11 +419,12 @@ class ReproServer:
                                      time.time() - t_req, coalesced=True)
         return payload
 
-    async def _execute_experiment(self, request: ExperimentRequest) -> dict:
+    async def _execute_experiment(self, request: RunRequest,
+                                  record: dict) -> dict:
         self.bus.count("serve.experiments_submitted")
         loop = asyncio.get_running_loop()
         key = request_digest(request)
-        self._inflight_experiments[key] = request
+        self._inflight_experiments[key] = (request, record)
         t_req = time.time()
         t_mono = loop.time()
         try:
@@ -436,7 +448,7 @@ class ReproServer:
         )
         return payload
 
-    def _record_serve_spans(self, request: ExperimentRequest, payload: dict,
+    def _record_serve_spans(self, request: RunRequest, payload: dict,
                             t_req: float, dur_s: float, *, coalesced: bool,
                             offload_s: Optional[float] = None) -> None:
         """Append this submission's serve-side spans to the run's store.
@@ -490,19 +502,21 @@ class ReproServer:
         cache as it goes; this file only records *which* requests were
         cut short, so :meth:`start` can resubmit them with their resume
         tokens and skip every job the interrupted run already finished.
+        Each request is stored as the client sent it (see
+        :meth:`submit_experiment`), so no request type is serialized.
         """
         if not self._inflight_experiments:
             return
         from repro.store.envelope import snapshot_digest
 
-        records = [asdict(req) for req in self._inflight_experiments.values()]
+        records = [record for _, record in self._inflight_experiments.values()]
         path = self._inflight_journal_path()
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_suffix(".json.tmp")
             with tmp.open("w", encoding="utf-8") as fh:
                 fh.write(json.dumps(
-                    {"schema": 1, "requests": records,
+                    {"schema": INFLIGHT_SCHEMA, "requests": records,
                      "sha256": snapshot_digest(records)},
                     sort_keys=True,
                 ))
@@ -514,7 +528,13 @@ class ReproServer:
         self.bus.count("serve.journaled_inflight", len(records))
 
     def _resume_journaled_experiments(self) -> None:
-        """Pick up requests a previous drain journaled, and resume them."""
+        """Pick up requests a previous drain journaled, and resume them.
+
+        Each stored body goes back through the endpoints' own parser, so
+        a resumed request is validated exactly like a fresh one; a record
+        that fails to parse, or a snapshot of any other schema, is
+        counted as ``serve.resume_journal_corrupt`` and skipped.
+        """
         path = self._inflight_journal_path()
         try:
             raw = path.read_text()
@@ -542,18 +562,23 @@ class ReproServer:
             self.bus.count("serve.resume_journal_corrupt")
             self.bus.count("store.corrupt.bit_flipped")
             return
+        if doc.get("schema") != INFLIGHT_SCHEMA:
+            self.bus.count("serve.resume_journal_corrupt")
+            self.bus.count("store.corrupt.wrong_schema")
+            return
         loop = asyncio.get_running_loop()
         for record in records:
             try:
-                request = ExperimentRequest(**record)
-                request = replace(
-                    request, resume=request.resume or request_run_id(request)
-                )
-            except (TypeError, ValueError):
+                request = handlers.run_request_from_body(
+                    self, record["experiment_id"], record["body"])
+            except (HttpError, KeyError, TypeError):
                 self.bus.count("serve.resume_journal_corrupt")
                 continue
+            request = replace(
+                request, resume=request.resume or request_run_id(request)
+            )
             self.bus.count("serve.resumed_runs")
-            task = loop.create_task(self.submit_experiment(request))
+            task = loop.create_task(self.submit_experiment(request, record))
             # background resubmission: nobody awaits this response, so
             # retrieve any exception to keep the loop's logs quiet
             task.add_done_callback(

@@ -137,25 +137,6 @@ class SimKernel:
         self._window_index += 1
         return delta
 
-    # ------------------------------------------------------------------
-    def checkpoint(self, extra=None):
-        """Freeze this kernel at the current window boundary.
-
-        Thin delegate to :func:`repro.sim.checkpoint.save_checkpoint`;
-        raises :class:`~repro.sim.checkpoint.CheckpointError` when the
-        scheme does not declare the checkpointable capability.
-        """
-        from repro.sim.checkpoint import save_checkpoint
-
-        return save_checkpoint(self, extra=extra)
-
-    def restore(self, ckpt):
-        """Restore a :class:`~repro.sim.checkpoint.KernelCheckpoint`
-        into this kernel; returns the checkpoint's ``extra`` payload."""
-        from repro.sim.checkpoint import restore_checkpoint
-
-        return restore_checkpoint(self, ckpt)
-
     def run(self, n_windows: int, warmup_windows: int = 0) -> RefreshStats:
         """Warmup, measurement boundary, ``n_windows`` measured windows.
 

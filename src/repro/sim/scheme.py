@@ -40,18 +40,11 @@ class SchemeCapabilities:
     consumes_write_hook:
         The scheme interleaves the hook's traffic between its refresh
         commands.  Drivers may skip building a hook otherwise.
-    checkpointable:
-        The scheme implements the
-        :class:`~repro.sim.checkpoint.Checkpointable` capability
-        (``checkpoint_state``/``restore_state``), so a
-        :class:`~repro.sim.kernel.SimKernel` driving it can be
-        serialized at window boundaries and resumed bit-identically.
     """
 
     wants_access_events: bool = False
     timed: bool = True
     consumes_write_hook: bool = True
-    checkpointable: bool = False
 
 
 @runtime_checkable

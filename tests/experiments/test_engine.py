@@ -11,7 +11,6 @@ import pytest
 from repro.experiments import REGISTRY, ExperimentSettings
 from repro.experiments.cache import ResultCache, canonicalize, stable_digest
 from repro.experiments.engine import (
-    Experiment,
     Runner,
     SimJob,
     execute_job,
@@ -92,11 +91,6 @@ class TestCacheKeys:
         with pytest.raises(TypeError, match="stable cache key"):
             canonicalize(object())
 
-    def test_experiment_key_distinct_from_job_key(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert (cache.experiment_key("fig14", MICRO)
-                != cache.experiment_key("fig15", MICRO))
-
 
 class TestResultCacheStore:
     def test_roundtrip(self, tmp_path):
@@ -171,46 +165,6 @@ class TestEngineExecution:
         clone = pickle.loads(pickle.dumps(result))
         assert clone.normalized_refresh == result.normalized_refresh
         assert json.dumps(clone.to_dict())  # JSON-able view
-
-
-class TestLegacyShim:
-    def _experiment(self, calls):
-        from repro.experiments.runner import ExperimentResult
-
-        def legacy_run(settings):
-            calls.append(settings)
-            return ExperimentResult("toy", "toy", ["a"], [[1]])
-
-        return Experiment("toy", run=legacy_run)
-
-    def test_direct_call_still_works(self):
-        calls = []
-        result = self._experiment(calls)(MICRO)
-        assert result.rows == [[1]] and calls == [MICRO]
-
-    def test_whole_result_caching(self, tmp_path):
-        calls = []
-        experiment = self._experiment(calls)
-        cache = ResultCache(tmp_path)
-        runner = Runner(jobs=1, cache=cache)
-        runner.run_experiment(experiment, MICRO)
-        runner.run_experiment(experiment, MICRO)
-        assert len(calls) == 1  # second run served from cache
-        assert runner.stats.cache_hits == 1
-        hit_entry = runner.manifest[-1]
-        assert hit_entry["cache_hit"] and hit_entry["fn"] == "legacy:run"
-
-    def test_registry_wraps_every_legacy_module(self):
-        for experiment in REGISTRY.values():
-            assert isinstance(experiment, Experiment)
-            assert experiment.is_legacy or (experiment.plan and experiment.reduce)
-
-    def test_experiment_requires_plan_or_run(self):
-        with pytest.raises(ValueError, match="plan"):
-            Experiment("bad")
-        with pytest.raises(ValueError, match="not both"):
-            Experiment("bad", plan=lambda s: [], reduce=lambda s, r: None,
-                       run=lambda s: None)
 
 
 class TestManifest:

@@ -3,7 +3,7 @@
 These exercise the policy layer with tiny synthetic jobs (no DRAM
 simulation) so failures, backoff and journal behaviour are asserted in
 milliseconds; the real-simulation acceptance paths live in
-``test_resume_integration.py`` and ``tests/sim/test_checkpoint.py``.
+``test_resume_integration.py``.
 """
 
 import warnings
@@ -24,7 +24,6 @@ from repro.experiments.journal import default_run_id, journal_path
 from repro.experiments.lifecycle import (
     RunRequest,
     execute,
-    execute_all,
     resolve_jobs,
     runner_for,
 )
@@ -98,47 +97,22 @@ class TestRunRequestRouting:
         ))
         assert result.experiment_id == "_lifecycle_tiny"
 
-    def test_execute_all_shares_one_runner(self, monkeypatch, tmp_path):
+    def test_shared_runner_shares_one_cache(self, monkeypatch, tmp_path):
         other = Experiment("_lifecycle_other", plan=tiny_plan,
                            reduce=tiny_reduce)
-        monkeypatch.setattr(
-            "repro.experiments.REGISTRY",
-            {"_lifecycle_tiny": TINY, "_lifecycle_other": other},
-        )
-        runner = runner_for(RunRequest(
-            "_lifecycle_tiny", settings=MICRO, jobs=1,
-            cache_dir=tmp_path / "cache",
-        ))
-        results = execute_all(
-            RunRequest("_lifecycle_tiny", settings=MICRO, jobs=1),
-            runner=runner,
-        )
+        monkeypatch.setitem(REGISTRY, "_lifecycle_other", other)
+        runner = api.make_runner(jobs=1, cache_dir=tmp_path / "cache")
+        results = {
+            experiment_id: api.run(
+                RunRequest(experiment_id, settings=MICRO), runner=runner)
+            for experiment_id in ("_lifecycle_tiny", "_lifecycle_other")
+        }
         assert set(results) == {"_lifecycle_tiny", "_lifecycle_other"}
         # one shared runner saw both plans; the second experiment's
         # identical jobs hit the shared cache instead of re-executing
         assert runner.stats.jobs == 6
         assert runner.stats.cache_misses == 3
         assert runner.stats.cache_hits == 3
-
-
-class TestDeprecatedShims:
-    def test_run_experiment_warns_and_still_works(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="RunRequest"):
-            result = api.run_experiment(
-                "_lifecycle_tiny", settings=MICRO,
-                cache_dir=tmp_path / "cache", jobs=1,
-            )
-        assert result.rows[0] == ["alpha", 5]
-
-    def test_run_all_warns_and_still_works(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(
-            "repro.experiments.REGISTRY", {"_lifecycle_tiny": TINY}
-        )
-        with pytest.warns(DeprecationWarning, match="run_all"):
-            results = api.run_all(
-                settings=MICRO, cache_dir=tmp_path / "cache", jobs=1
-            )
-        assert list(results) == ["_lifecycle_tiny"]
 
     def test_blessed_path_does_not_warn(self, tmp_path):
         with warnings.catch_warnings():
@@ -162,6 +136,15 @@ class TestProbesCoercion:
 
     def test_no_probes_no_coercion(self):
         assert resolve_jobs(4, None) == 4
+
+    @pytest.mark.parametrize("entry", [api.run, execute],
+                             ids=["api.run", "lifecycle.execute"])
+    def test_warning_names_the_caller(self, entry):
+        request = RunRequest("_lifecycle_tiny", settings=MICRO, jobs=4,
+                             probes=ProbeBus(), cache=False)
+        with pytest.warns(RuntimeWarning, match="jobs=1") as record:
+            entry(request)
+        assert [w.filename for w in record] == [__file__]
 
     def test_runner_for_applies_coercion(self):
         with pytest.warns(RuntimeWarning):

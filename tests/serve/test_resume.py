@@ -11,11 +11,10 @@ import json
 import time
 
 from repro.experiments import REGISTRY
-from repro.experiments.engine import (
-    ExperimentRequest,
-    request_run_id,
-)
+from repro.experiments.lifecycle import RunRequest, request_run_id
+from repro.experiments.runner import ExperimentSettings
 from repro.serve import ReproServer, ServeConfig
+from repro.store.envelope import snapshot_digest
 from repro.serve.http import ClientConnection
 
 from tests.serve.test_server import fake_experiment, run_async
@@ -54,8 +53,8 @@ class TestResumeField:
         status, token, body = first
         assert status == 200
         # the run id is the deterministic journal token for this request
-        assert token == request_run_id(ExperimentRequest(
-            experiment_id="_svc_resume", quick=True))
+        assert token == request_run_id(RunRequest(
+            "_svc_resume", settings=ExperimentSettings.quick()))
         status2, headers2, body2 = second
         assert status2 == 200
         assert headers2.get("x-repro-run-id") == token
@@ -127,8 +126,10 @@ class TestDrainJournaling:
         assert snap["counters"]["serve.journaled_inflight"] == 1
         assert inflight_path.exists()
         doc = json.loads(inflight_path.read_text())
-        assert [r["experiment_id"] for r in doc["requests"]] \
-            == ["_svc_slowres"]
+        # the client's own (empty) body, replayed through the parser
+        assert doc["schema"] == 2
+        assert doc["requests"] == [
+            {"experiment_id": "_svc_slowres", "body": {}}]
         # the drained thread executor cannot cancel a running job; let
         # it finish so the restart's resubmission is deterministic
         deadline = time.perf_counter() + 10
@@ -195,3 +196,54 @@ class TestDrainJournaling:
         snap = run_async(scenario())
         assert snap["counters"]["serve.resume_journal_corrupt"] == 1
         assert not path.exists()
+
+
+class TestSnapshotValidation:
+    """Snapshot records replay through the endpoint parser; anything it
+    or the schema check rejects is counted corrupt and not resubmitted."""
+
+    def restart_with(self, tmp_path, doc):
+        cache_dir = tmp_path / "cache"
+        path = cache_dir / "journal" / "serve-inflight.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(doc))
+
+        async def scenario():
+            server = ReproServer(ServeConfig(
+                port=0, workers=0, cache_dir=str(cache_dir),
+            ))
+            await server.start()
+            try:
+                await asyncio.sleep(0.05)
+                return server.metrics_snapshot()
+            finally:
+                await server.drain()
+
+        counters = run_async(scenario())["counters"]
+        assert not path.exists()
+        return counters
+
+    def test_schema_1_snapshot_is_corrupt(self, tmp_path):
+        # an old-style record, and one that would parse under schema 2:
+        # the schema alone rejects the whole snapshot
+        records = [{"experiment_id": "tab01", "quick": True,
+                    "overrides": None, "use_cache": True, "cache_dir": None,
+                    "jobs": 1, "resume": None, "timeout_s": None,
+                    "max_attempts": None, "spec": None, "backend": None,
+                    "workers": None},
+                   {"experiment_id": "tab01", "body": {}}]
+        counters = self.restart_with(tmp_path, {
+            "schema": 1, "requests": records,
+            "sha256": snapshot_digest(records)})
+        assert counters["serve.resume_journal_corrupt"] == 1
+        assert "serve.resumed_runs" not in counters
+        assert "serve.experiments_submitted" not in counters
+
+    def test_record_with_unknown_body_key_is_corrupt(self, tmp_path):
+        records = [{"experiment_id": "tab01", "body": {"surprise": 1}}]
+        counters = self.restart_with(tmp_path, {
+            "schema": 2, "requests": records,
+            "sha256": snapshot_digest(records)})
+        assert counters["serve.resume_journal_corrupt"] == 1
+        assert "serve.resumed_runs" not in counters
+        assert "serve.experiments_submitted" not in counters

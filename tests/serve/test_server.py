@@ -19,9 +19,11 @@ import numpy as np
 import pytest
 
 from repro.experiments import REGISTRY
-from repro.experiments.engine import Experiment
+from repro.experiments.engine import Experiment, SimJob
+from repro.experiments.lifecycle import request_digest, request_run_id
 from repro.experiments.runner import ExperimentResult
 from repro.serve import ReproServer, ServeConfig
+from repro.serve.handlers import run_request_from_body
 from repro.serve.http import ClientConnection
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
 from repro.transform.codec import ValueTransformCodec
@@ -52,21 +54,40 @@ def transform_payload(lines, row_index, op="encode"):
     ).encode()
 
 
-def fake_experiment(experiment_id, calls, delay_s=0.0):
-    """A registrable experiment recording executions (thread mode only)."""
+FAKE_JOB_CALLS = {}
+"""Per-experiment call logs of :func:`fake_job` (thread mode only)."""
 
-    def run(settings):
-        calls.append(time.perf_counter())
-        if delay_s:
-            time.sleep(delay_s)
+
+def fake_job(settings, job):
+    """Job body of :func:`fake_experiment`: records the call, then waits."""
+    FAKE_JOB_CALLS[job.params["experiment_id"]].append(time.perf_counter())
+    if job.params["delay_s"]:
+        time.sleep(job.params["delay_s"])
+    return 42
+
+
+def fake_experiment(experiment_id, calls, delay_s=0.0):
+    """A registrable one-job experiment recording executions in ``calls``.
+
+    The single job is cached like any simulation point, so a repeat
+    submission replays the whole run from the cache.
+    """
+    FAKE_JOB_CALLS[experiment_id] = calls
+
+    def plan(settings):
+        return [SimJob(fn="tests.serve.test_server:fake_job",
+                       params={"experiment_id": experiment_id,
+                               "delay_s": delay_s})]
+
+    def reduce(settings, results):
         return ExperimentResult(
             experiment_id=experiment_id,
             title="Fake serving-test experiment",
             headers=["metric", "value"],
-            rows=[["answer", 42]],
+            rows=[["answer", results[0]]],
         )
 
-    return Experiment(experiment_id, run=run)
+    return Experiment(experiment_id, plan=plan, reduce=reduce)
 
 
 class TestControlPlane:
@@ -285,6 +306,41 @@ class TestExperimentEndpoint:
         assert overrides == 400
         assert b"bogus_field" in body
         assert field == 400
+
+
+class TestRequestIdentity:
+    """Single-flight keys and journal run ids, pinned: a drift would
+    split coalescing and orphan every journaled resume token."""
+
+    OVERRIDES = {"memory_mb": 4, "windows": 1}
+
+    def identity(self, experiment_id, body):
+        server = ReproServer(ServeConfig(port=0, workers=0))
+        request = run_request_from_body(server, experiment_id, body)
+        return request_digest(request), request_run_id(request)
+
+    def test_experiment_request(self):
+        assert self.identity(
+            "fig17", {"quick": True, "overrides": self.OVERRIDES}) == (
+            "906efcd8dc9e0e28782e07f889b989f5d09c9cec34f9bd047c9ea4cdb3283820",
+            "fig17-8c57bb39b8e2",
+        )
+
+    def test_sweep_request(self):
+        spec = {
+            "scenario_id": "svc-sweep",
+            "description": "serve-test sweep",
+            "axes": [
+                {"name": "temperature", "values": ["NORMAL", "EXTENDED"]},
+                {"name": "benchmark", "values": ["mcf"]},
+            ],
+            "reduction": "sweep_table",
+        }
+        assert self.identity(None, {
+            "spec": spec, "quick": True, "overrides": self.OVERRIDES}) == (
+            "5798291a5e9d7cf8cdfd3242fcd5dd87ff1dc8ce56aa961d45e62ae8e898f2c8",
+            "svc-sweep-7e64fc4c9055",
+        )
 
 
 class TestBackpressure:
