@@ -38,7 +38,7 @@ from repro.core.metrics import RunResult
 from repro.cpu.core import AnalyticalCoreModel
 from repro.dram.device import DramDevice
 from repro.dram.geometry import DramGeometry
-from repro.dram.refresh import RefreshEngine, RefreshStats
+from repro.dram.refresh import RefreshEngine
 from repro.dram.retention import RetentionTracker
 from repro.energy.accounting import EnergyAccountant
 from repro.obs import get_probes

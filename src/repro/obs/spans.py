@@ -35,7 +35,6 @@ Like the probe bus, the tracer is ambient per process
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass

@@ -33,6 +33,11 @@ from repro.transform.celltype import CellType, CellTypePredictor
 from repro.transform.ebdi import EbdiCodec
 from repro.transform.rotation import RotationMapper
 
+# Lines per fused block of :meth:`ValueTransformCodec.encode_rows`: the
+# word-major block (512 KB at 8 words per line) and the bit-plane
+# kernel's scratch of the same size stay in a 2 MB L2 cache.
+_BLOCK_LINES = 8192
+
 
 @dataclass(frozen=True)
 class StageSelection:
@@ -212,35 +217,57 @@ class ValueTransformCodec:
         ``(n_rows, num_chips, lines_per_row, words_per_chip)`` — the
         layout banks store rows in.
 
-        The per-line stages are row-independent, so they run in one pass
-        over every line; the anti-cell complement and the rotation are
-        then applied per equivalence class (there are only
-        ``2 * num_chips`` of them), keeping population of large memories
-        fast.
+        This is the bulk path population takes.  It is one fused pass
+        over blocks of whole rows, about ``_BLOCK_LINES`` lines each.
+        Each block is copied once into a reused *word-major* buffer (row
+        ``w`` holds word ``w`` of every line of the block), where EBDI,
+        the bit-plane transpose and the anti-cell complement run in
+        place, each step a uint64 op over contiguous lines.  The
+        rotation then writes the block straight into its slice of the
+        output, so blocks stay cache-resident and no full-size temporary
+        is kept besides the output.  The result is bit-identical to a
+        per-row :meth:`encode_row` loop.
+
+        Word-major blocks let the bit-plane stage run its SWAR kernel on
+        8-byte words: ~110 ns/line on an 8192-line block against ~500
+        for the byte tables (2-vCPU Xeon host).  The kernel's ~55 numpy
+        calls cost the same on any batch, though (one line: ~49 µs
+        against ~9 µs), so the per-line entry points
+        (:meth:`transform_lines`, :meth:`transform_lines_many`) and
+        :meth:`decode_rows` keep the tables, and so do 2- and 4-byte
+        words here, which the 8x8 kernel does not cover.
         """
         lines = np.asarray(lines)
         row_indices = np.asarray(row_indices)
         n_rows, lines_per_row, words = lines.shape
-        flat = lines.reshape(n_rows * lines_per_row, words)
-        if self.stages.ebdi:
-            flat = self.ebdi.encode(flat, CellType.TRUE)
-        if self.stages.bitplane:
-            flat = self.bitplane.apply(flat)
-        transformed = flat.reshape(n_rows, lines_per_row, words)
-        if self.stages.celltype_aware:
-            anti = self.predictor.predict_anti(row_indices)
-            if anti.any():
-                transformed = transformed.copy()
-                transformed[anti] = np.invert(transformed[anti])
         out = np.empty(
             (n_rows, self.num_chips, lines_per_row, self.rotation.words_per_chip),
             dtype=self.dtype,
         )
-        rotations = row_indices % self.num_chips
-        for rot in np.unique(rotations):
-            idx = np.flatnonzero(rotations == rot)
-            slots = self.rotation.slot_table[rot]  # (chips, words_per_chip)
-            out[idx] = transformed[idx][:, :, slots].transpose(0, 2, 1, 3)
+        if out.size == 0:
+            return out
+        rows_per_block = max(1, min(n_rows, _BLOCK_LINES // lines_per_row))
+        block = np.empty((words, rows_per_block * lines_per_row), dtype=self.dtype)
+        block_rows = block.reshape(words, rows_per_block, lines_per_row)
+        masks = None
+        if self.stages.celltype_aware:
+            # all-ones for rows stored complemented, zero otherwise
+            masks = np.where(self.predictor.predict_anti(row_indices),
+                             np.iinfo(self.dtype).max, 0).astype(self.dtype)
+        for start in range(0, n_rows, rows_per_block):
+            stop = min(start + rows_per_block, n_rows)
+            count = stop - start
+            flat = block[:, :count * lines_per_row]  # (words, lines)
+            by_row = block_rows[:, :count]  # (words, rows, lines_per_row)
+            by_row[...] = lines[start:stop].transpose(2, 0, 1)
+            if self.stages.ebdi:
+                self.ebdi.encode_word_major(flat)
+            if self.stages.bitplane:
+                self.bitplane.apply_word_major(flat)
+            if masks is not None and masks[start:stop].any():
+                by_row ^= masks[start:stop, None]
+            self.rotation.scatter_word_major(by_row, row_indices[start:stop],
+                                             out[start:stop])
         return out
 
     def decode_rows(self, chip_data: np.ndarray, row_indices: np.ndarray) -> np.ndarray:

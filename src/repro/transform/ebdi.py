@@ -129,6 +129,17 @@ class EbdiCodec:
             np.invert(out, out=out)
         return out
 
+    def encode_word_major(self, words: np.ndarray) -> None:
+        """True-cell :meth:`encode` in place on a word-major block.
+
+        ``words`` has shape ``(words_per_line, n)``: row 0 holds the
+        bases of ``n`` lines and row ``w`` their word ``w``.
+        """
+        base = words[0]
+        for delta in words[1:]:  # row by row: small temporaries
+            np.subtract(delta, base, out=delta)
+            delta[...] = zigzag_encode(delta.view(self._signed))
+
     def decode(self, encoded: np.ndarray, cell_type: CellType) -> np.ndarray:
         """Invert :meth:`encode`; exact for every input."""
         encoded = self._check(encoded)

@@ -111,6 +111,21 @@ class RotationMapper:
         slots = self.slot_table[row_index % self.num_chips]
         return np.ascontiguousarray(lines[:, slots].transpose(1, 0, 2))
 
+    def scatter_word_major(self, words: np.ndarray, row_indices: np.ndarray,
+                           out: np.ndarray) -> None:
+        """Distribute word-major rows onto chips, into ``out``.
+
+        ``words`` has shape ``(words_per_line, n_rows, n_lines)``:
+        ``words[w, r]`` is word ``w`` of every line of logical row
+        ``row_indices[r]``.  ``out`` has shape ``(n_rows, num_chips,
+        n_lines, words_per_chip)`` and receives ``scatter`` of each row.
+        """
+        rows = np.arange(words.shape[1])
+        for word, row_words in enumerate(words):
+            # word-major rows make each word position one scatter
+            chips = self.chip_of_word(word, row_indices)
+            out[rows, chips, :, word // self.num_chips] = row_words
+
     def gather(self, chip_data: np.ndarray, row_index: int) -> np.ndarray:
         """Invert :meth:`scatter`: rebuild lines from per-chip row data."""
         chip_data = np.asarray(chip_data)

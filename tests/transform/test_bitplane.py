@@ -174,6 +174,46 @@ class TestAgainstReference:
             BitPlaneTransform().apply(view), ReferenceBitPlane().apply(view))
 
 
+class TestWordMajorAgainstReference:
+    """``apply_word_major`` (the bulk encoder's bit-plane step; a SWAR
+    kernel for 8-byte words) equals the per-bit gather oracle."""
+
+    @staticmethod
+    def apply_word_major(word_bytes, lines, spare_lines=0):
+        """Run the kernel on ``lines`` laid out word-major in a buffer
+        ``spare_lines`` wider, so its rows are strided."""
+        fast = BitPlaneTransform(word_bytes=word_bytes)
+        buffer = np.zeros((fast.words_per_line, len(lines) + spare_lines),
+                          dtype=fast.dtype)
+        words = buffer[:, :len(lines)]
+        words[...] = lines.T
+        fast.apply_word_major(words)
+        assert not buffer[:, len(lines):].any()
+        return words.T
+
+    @pytest.mark.parametrize("word_bytes", WORD_SIZES)
+    def test_every_single_bit(self, word_bytes):
+        words = 64 // word_bytes
+        lines = np.zeros((words * word_bytes * 8, words), dtype=f"u{word_bytes}")
+        flat = lines.view(np.uint8).reshape(len(lines), 64)
+        for k in range(len(lines)):
+            flat[k, k // 8] = 1 << (k % 8)
+        np.testing.assert_array_equal(
+            self.apply_word_major(word_bytes, lines),
+            ReferenceBitPlane(word_bytes=word_bytes).apply(lines))
+
+    @settings(max_examples=60, deadline=None)
+    @given(lines=st.lists(st.lists(st.integers(min_value=0, max_value=2**64 - 1),
+                                   min_size=8, max_size=8),
+                          min_size=1, max_size=40),
+           spare_lines=st.integers(min_value=0, max_value=5))
+    def test_random_words(self, lines, spare_lines):
+        lines = np.array(lines, dtype=np.uint64)
+        np.testing.assert_array_equal(
+            self.apply_word_major(8, lines, spare_lines),
+            ReferenceBitPlane().apply(lines))
+
+
 class TestEmptyBatch:
     @pytest.mark.parametrize("word_bytes", WORD_SIZES)
     def test_apply_and_invert_accept_zero_lines(self, word_bytes):

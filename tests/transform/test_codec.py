@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.transform import codec as codec_module
 from repro.transform.celltype import CellTypeLayout, CellTypePredictor
 from repro.transform.codec import StageSelection, ValueTransformCodec
 
@@ -163,6 +164,58 @@ class TestBulkRows:
                 codec.decode_row(encoded[i], row), lines[i])
         np.testing.assert_array_equal(
             codec.decode_rows(encoded, row_indices), lines)
+
+
+def strided_rows(codec, n_rows, lines_per_row, seed):
+    """Full-range lines as a non-contiguous view (every other line)."""
+    rng = np.random.default_rng(seed)
+    words = 64 // codec.word_bytes
+    backing = rng.integers(0, np.iinfo(codec.dtype).max, endpoint=True,
+                           size=(n_rows, 2 * lines_per_row, words),
+                           dtype=codec.dtype)
+    lines = backing[:, ::2]
+    assert not lines.flags.c_contiguous
+    return lines
+
+
+def assert_bulk_equals_per_row_loop(codec, lines, row_indices):
+    encoded = codec.encode_rows(lines, row_indices)
+    for i, row in enumerate(row_indices):
+        np.testing.assert_array_equal(
+            encoded[i], codec.encode_row(lines[i], int(row)))
+    np.testing.assert_array_equal(codec.decode_rows(encoded, row_indices), lines)
+
+
+class TestBulkBlocks:
+    """``encode_rows`` runs block by block; rows spanning several blocks,
+    a partial last block and strided input equal the per-row loop."""
+
+    # every rotation (7 is coprime with 8), and with interleave 16 both
+    # true-cell (0..15, 32..47) and anti-cell (16..31, 48..63) rows
+    ROWS = np.arange(40) * 7 % 64
+
+    @pytest.mark.parametrize("word_bytes", (2, 4, 8))
+    @pytest.mark.parametrize("stages", STAGE_SUBSETS)
+    def test_small_blocks(self, monkeypatch, word_bytes, stages):
+        # 3 lines per row in 21-line blocks: five blocks of 7 rows and a
+        # last one of 5
+        monkeypatch.setattr(codec_module, "_BLOCK_LINES", 21)
+        codec = ValueTransformCodec(
+            CellTypePredictor.from_layout(CellTypeLayout(interleave=16), 64),
+            word_bytes=word_bytes, stages=stages)
+        assert set(self.ROWS % 8) == set(range(8))
+        anti = codec.predictor.predict_anti(self.ROWS)
+        assert anti.any() and not anti.all()
+        lines = strided_rows(codec, len(self.ROWS), 3, seed=word_bytes)
+        assert_bulk_equals_per_row_loop(codec, lines, self.ROWS)
+
+    def test_default_block_size(self):
+        """One full block of 64-line rows plus a 3-row partial block."""
+        codec, _ = make_codec()
+        n_rows = codec_module._BLOCK_LINES // 64 + 3
+        rows = np.arange(n_rows) * 7 % 256
+        lines = strided_rows(codec, n_rows, 64, seed=1)
+        assert_bulk_equals_per_row_loop(codec, lines, rows)
 
 
 class TestEmptyBatches:
